@@ -13,12 +13,6 @@ all resolve through it, and the environment knobs
 * ``REPRO_NODE_LIMIT`` — e-node budget,
 * ``REPRO_TIME_LIMIT`` — wall-clock cap in seconds,
 * ``REPRO_SCHEDULER`` — rule scheduler (``simple`` or ``backoff``),
-* ``REPRO_SEARCH_WORKERS`` — process-pool fan-out of rule searches
-  within each saturation step (1 = serial; results are byte-identical
-  either way, see :mod:`repro.saturation.parallel`),
-* ``REPRO_APPLY_WORKERS`` — process-pool fan-out of the apply phase:
-  workers precompute pure appliers' result terms, the parent commits
-  them in canonical order (1 = serial; byte-identical either way),
 * ``REPRO_RULE_PROFILE`` — path to a recorded ``--rule-profile`` JSON
   used to prune historically wasteful rules before the run
   (:mod:`repro.saturation.pruning`),
@@ -33,26 +27,34 @@ all resolve through it, and the environment knobs
   on the first violation (off by default: the sweep is O(graph) per
   step and exists for debugging/CI, not the hot path),
 * ``REPRO_TRACE`` — path to write a Chrome-trace-event JSON of the run
-  (session/request/step/phase/rule spans plus worker lanes; open it in
-  Perfetto — :mod:`repro.obs.trace`; off by default),
+  (session/request/step/phase/rule spans; open it in Perfetto —
+  :mod:`repro.obs.trace`; off by default),
 * ``REPRO_METRICS`` — ``1``/``true`` populates the metrics registry
   (:mod:`repro.obs.metrics`) during the run and snapshots it onto
   ``OptimizationReport.metrics`` (off by default),
 
 override the defaults everywhere at once.
+
+Saturation runs serially inside one process.  The per-step worker
+knobs ``search_workers`` and ``apply_workers`` were removed; the two
+names are still accepted by :class:`Limits` (and in ``serve.toml``
+``[limits]``) with the value 1 only, so configurations written while
+they existed keep loading.  They are not fields: :data:`KNOBS`,
+:meth:`Limits.to_dict` and :meth:`Limits.key` never see them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from typing import List, Mapping, Optional, Tuple
 
 from ..extraction import EXTRACTOR_NAMES
 from ..saturation.schedulers import SCHEDULER_NAMES
 
-__all__ = ["Limits", "Knob", "KNOBS", "CAPPABLE_FIELDS"]
+__all__ = ["Limits", "Knob", "KNOBS", "CAPPABLE_FIELDS",
+           "RETIRED_WORKER_FIELDS"]
 
 
 @dataclass(frozen=True)
@@ -83,16 +85,12 @@ KNOBS: Tuple[Knob, ...] = (
          "wall-clock cap per run, seconds"),
     Knob("scheduler", "REPRO_SCHEDULER", "--scheduler", "simple",
          "rule scheduler: 'simple' or egg-style 'backoff'"),
-    Knob("search_workers", "REPRO_SEARCH_WORKERS", "--search-workers", 1,
-         "parallel e-matching fan-out (1 = serial, byte-identical)"),
     Knob("rule_profile", "REPRO_RULE_PROFILE", "--prune-from-profile", None,
          "recorded rule-profile JSON driving pre-run rule pruning"),
     Knob("extractor", "REPRO_EXTRACTOR", "--extractor", "greedy",
          "extraction strategy: 'greedy' (tree cost) or 'dag'"),
     Knob("top_k", "REPRO_TOP_K", "--top-k", 1,
          "enumerate the K cheapest distinct solutions"),
-    Knob("apply_workers", "REPRO_APPLY_WORKERS", "--apply-workers", 1,
-         "parallel apply-planning fan-out (1 = serial, byte-identical)"),
     Knob("check", "REPRO_CHECK", "--check", False,
          "verify e-graph invariants after every step"),
     Knob("trace", "REPRO_TRACE", "--trace", None,
@@ -104,9 +102,11 @@ KNOBS: Tuple[Knob, ...] = (
 #: Numeric budget fields a serving tenant can be capped on
 #: (:meth:`Limits.exceeding`; see ``repro.server.admission``).
 CAPPABLE_FIELDS: Tuple[str, ...] = (
-    "step_limit", "node_limit", "time_limit",
-    "search_workers", "apply_workers", "top_k",
+    "step_limit", "node_limit", "time_limit", "top_k",
 )
+
+#: Removed per-step worker knobs, still accepted with the value 1 only.
+RETIRED_WORKER_FIELDS: Tuple[str, ...] = ("search_workers", "apply_workers")
 
 
 def _profile_digest(path: str) -> str:
@@ -136,16 +136,24 @@ class Limits:
     node_limit: int = 12_000
     time_limit: float = 120.0
     scheduler: str = "simple"
-    search_workers: int = 1
     rule_profile: Optional[str] = None
     extractor: str = "greedy"
     top_k: int = 1
-    apply_workers: int = 1
     check: bool = False
     trace: Optional[str] = None
     metrics: bool = False
+    # Retired knobs (see the module docstring): init-only, 1 only.
+    search_workers: InitVar[int] = 1
+    apply_workers: InitVar[int] = 1
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, search_workers: int, apply_workers: int) -> None:
+        for name, value in zip(RETIRED_WORKER_FIELDS,
+                               (search_workers, apply_workers)):
+            if value != 1:
+                raise ValueError(
+                    f"{name} was removed (saturation runs serially); "
+                    f"only {name}=1 is accepted, got {value!r}"
+                )
         if self.step_limit < 0:
             raise ValueError(f"step_limit must be >= 0, got {self.step_limit}")
         if self.node_limit <= 0:
@@ -156,14 +164,6 @@ class Limits:
             raise ValueError(
                 f"scheduler must be one of {SCHEDULER_NAMES}, "
                 f"got {self.scheduler!r}"
-            )
-        if self.search_workers < 1:
-            raise ValueError(
-                f"search_workers must be >= 1, got {self.search_workers}"
-            )
-        if self.apply_workers < 1:
-            raise ValueError(
-                f"apply_workers must be >= 1, got {self.apply_workers}"
             )
         if self.extractor not in EXTRACTOR_NAMES:
             raise ValueError(
@@ -183,15 +183,9 @@ class Limits:
             node_limit=int(env.get("REPRO_NODE_LIMIT", base.node_limit)),
             time_limit=float(env.get("REPRO_TIME_LIMIT", base.time_limit)),
             scheduler=env.get("REPRO_SCHEDULER", base.scheduler),
-            search_workers=int(
-                env.get("REPRO_SEARCH_WORKERS", base.search_workers)
-            ),
             rule_profile=env.get("REPRO_RULE_PROFILE") or None,
             extractor=env.get("REPRO_EXTRACTOR", base.extractor),
             top_k=int(env.get("REPRO_TOP_K", base.top_k)),
-            apply_workers=int(
-                env.get("REPRO_APPLY_WORKERS", base.apply_workers)
-            ),
             check=env.get("REPRO_CHECK", "").strip().lower()
             in ("1", "true", "yes", "on"),
             trace=env.get("REPRO_TRACE") or None,
@@ -201,23 +195,22 @@ class Limits:
 
     def override(
         self,
+        *,
         step_limit: Optional[int] = None,
         node_limit: Optional[int] = None,
         time_limit: Optional[float] = None,
         scheduler: Optional[str] = None,
-        search_workers: Optional[int] = None,
         rule_profile: Optional[str] = None,
         extractor: Optional[str] = None,
         top_k: Optional[int] = None,
-        apply_workers: Optional[int] = None,
         check: Optional[bool] = None,
         trace: Optional[str] = None,
         metrics: Optional[bool] = None,
     ) -> "Limits":
         """A copy with any non-``None`` field replaced.
 
-        New knobs append at the end of the signature: several callers
-        pass the older ones positionally."""
+        Keyword-only, so adding or removing a knob can never shift
+        another caller's arguments onto the wrong field."""
         updates = {
             name: value
             for name, value in (
@@ -225,11 +218,9 @@ class Limits:
                 ("node_limit", node_limit),
                 ("time_limit", time_limit),
                 ("scheduler", scheduler),
-                ("search_workers", search_workers),
                 ("rule_profile", rule_profile),
                 ("extractor", extractor),
                 ("top_k", top_k),
-                ("apply_workers", apply_workers),
                 ("check", check),
                 ("trace", trace),
                 ("metrics", metrics),
@@ -245,11 +236,9 @@ class Limits:
             "node_limit": self.node_limit,
             "time_limit": self.time_limit,
             "scheduler": self.scheduler,
-            "search_workers": self.search_workers,
             "rule_profile": self.rule_profile,
             "extractor": self.extractor,
             "top_k": self.top_k,
-            "apply_workers": self.apply_workers,
             "check": self.check,
             "trace": self.trace,
             "metrics": self.metrics,
@@ -266,13 +255,13 @@ class Limits:
             time_limit=float(data["time_limit"]),
             # Reports and cache entries written before a knob existed
             # carry no key for it; they ran with the knob's default
-            # (simple scheduler, serial search, no pruning).
+            # (simple scheduler, no pruning).  Entries written while
+            # the retired worker knobs existed may carry them with any
+            # value; they never changed results and are ignored.
             scheduler=str(data.get("scheduler", "simple")),
-            search_workers=int(data.get("search_workers", 1)),
             rule_profile=data.get("rule_profile") or None,
             extractor=str(data.get("extractor", "greedy")),
             top_k=int(data.get("top_k", 1)),
-            apply_workers=int(data.get("apply_workers", 1)),
             check=bool(data.get("check", False)),
             trace=data.get("trace") or None,
             metrics=bool(data.get("metrics", False)),
@@ -303,25 +292,18 @@ class Limits:
     def key(self) -> tuple:
         """Hashable cache-key fragment.
 
-        ``search_workers`` and ``apply_workers`` are deliberately
-        *excluded*: parallel search and apply are guaranteed
-        byte-identical to serial (matches are merged and committed in
-        canonical rule order), so a cached serial result answers a
-        parallel request and vice versa.  ``rule_profile`` changes the
-        rule set, hence the results — but only joins the key when set,
-        so every pre-pruning cache entry stays valid.  It joins as a
-        *content* digest, not the path: the persistent disk cache must
-        not serve stale results after the profile file at the same
-        path is re-recorded (and two directories' unrelated
-        ``p.json`` files must not collide in a shared cache).
-        ``extractor`` and ``top_k`` likewise join only when
-        non-default, so every pre-extraction-engine cache entry stays
-        valid — and since both change the produced report (preferred
-        solutions, candidate lists), they must join when set.
-        ``check`` is excluded like the worker counts: the invariant
-        verifier observes the run without changing its results — and
-        ``trace`` / ``metrics`` are excluded for the same reason
-        (observability never changes what a run computes).
+        ``rule_profile`` changes the rule set, hence the results — but
+        only joins the key when set, so every pre-pruning cache entry
+        stays valid.  It joins as a *content* digest, not the path: the
+        persistent disk cache must not serve stale results after the
+        profile file at the same path is re-recorded (and two
+        directories' unrelated ``p.json`` files must not collide in a
+        shared cache).  ``extractor`` and ``top_k`` likewise join only
+        when non-default, so every pre-extraction-engine cache entry
+        stays valid — and since both change the produced report
+        (preferred solutions, candidate lists), they must join when
+        set.  ``check``, ``trace`` and ``metrics`` are excluded: they
+        observe the run without changing what it computes.
         """
         base = (self.step_limit, self.node_limit, self.time_limit,
                 self.scheduler)

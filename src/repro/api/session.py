@@ -25,6 +25,7 @@ Typical use::
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import weakref
 from time import perf_counter
@@ -111,10 +112,18 @@ def _execute_payload(payload: dict, registry: TargetRegistry,
         ).to_dict()
 
 
-# One fork-safety policy for the whole codebase: the run-level process
-# pool here and the search-level pool inside the saturation engine must
-# agree on when forking the parent is safe.
-from ..saturation.parallel import fork_available as _fork_available
+def fork_available() -> bool:
+    """Whether fork-based worker pools are safe to use here.
+
+    macOS *offers* the fork start method but forking a threaded /
+    Objective-C-runtime parent there is notoriously crash-prone (which
+    is why spawn became its default); treat it as fork-less.
+    """
+    import multiprocessing
+
+    if sys.platform == "darwin":
+        return False
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def _evict_adhoc(
@@ -197,7 +206,7 @@ class Session:
         with self._pool_lock:
             if self._persistent_pool is not None:
                 return True
-            if not _fork_available():
+            if not fork_available():
                 return False
             import multiprocessing
 
@@ -290,25 +299,10 @@ class Session:
 
         return verify(egraph)
 
-    def resolve_limits(
-        self,
-        step_limit: Optional[int] = None,
-        node_limit: Optional[int] = None,
-        time_limit: Optional[float] = None,
-        scheduler: Optional[str] = None,
-        search_workers: Optional[int] = None,
-        rule_profile: Optional[str] = None,
-        extractor: Optional[str] = None,
-        top_k: Optional[int] = None,
-        apply_workers: Optional[int] = None,
-        check: Optional[bool] = None,
-        trace: Optional[str] = None,
-        metrics: Optional[bool] = None,
-    ) -> Limits:
-        return self.limits.override(step_limit, node_limit, time_limit,
-                                    scheduler, search_workers, rule_profile,
-                                    extractor, top_k, apply_workers,
-                                    check=check, trace=trace, metrics=metrics)
+    def resolve_limits(self, **overrides: Any) -> Limits:
+        """The session's limits with the non-``None`` keyword
+        ``overrides`` applied (see :meth:`Limits.override`)."""
+        return self.limits.override(**overrides)
 
     @property
     def stats(self) -> dict:
@@ -329,11 +323,9 @@ class Session:
         node_limit: Optional[int] = None,
         time_limit: Optional[float] = None,
         scheduler: Optional[str] = None,
-        search_workers: Optional[int] = None,
         rule_profile: Optional[str] = None,
         extractor: Optional[str] = None,
         top_k: Optional[int] = None,
-        apply_workers: Optional[int] = None,
         check: Optional[bool] = None,
         trace: Union[None, str, "object"] = None,
         metrics: Optional[bool] = None,
@@ -355,11 +347,9 @@ class Session:
             node_limit=node_limit,
             time_limit=time_limit,
             scheduler=scheduler,
-            search_workers=search_workers,
             rule_profile=rule_profile,
             extractor=extractor,
             top_k=top_k,
-            apply_workers=apply_workers,
             check=check,
             trace=trace,
             metrics=metrics,
@@ -376,11 +366,9 @@ class Session:
         node_limit: Optional[int] = None,
         time_limit: Optional[float] = None,
         scheduler: Optional[str] = None,
-        search_workers: Optional[int] = None,
         rule_profile: Optional[str] = None,
         extractor: Optional[str] = None,
         top_k: Optional[int] = None,
-        apply_workers: Optional[int] = None,
         check: Optional[bool] = None,
         trace: Union[None, str, "object"] = None,
         metrics: Optional[bool] = None,
@@ -399,13 +387,13 @@ class Session:
         from ..pipeline import optimize_term as _pipeline_optimize_term
 
         caller_tracer = trace if isinstance(trace, Tracer) else None
-        limits = self.resolve_limits(step_limit, node_limit, time_limit,
-                                     scheduler, search_workers, rule_profile,
-                                     extractor, top_k, apply_workers,
-                                     check=check,
-                                     trace=trace if isinstance(trace, str)
-                                     else None,
-                                     metrics=metrics)
+        limits = self.resolve_limits(
+            step_limit=step_limit, node_limit=node_limit,
+            time_limit=time_limit, scheduler=scheduler,
+            rule_profile=rule_profile, extractor=extractor, top_k=top_k,
+            check=check, trace=trace if isinstance(trace, str) else None,
+            metrics=metrics,
+        )
         named = isinstance(target, str)
         target_obj = self.target(target) if named else target
         key = self._term_key(term, symbol_shapes, target, limits, kernel_name)
@@ -642,13 +630,7 @@ class Session:
                 f"unknown target {request.target!r}; "
                 f"expected one of {tuple(self.registry.names())}"
             )
-        limits = self.resolve_limits(
-            request.step_limit, request.node_limit, request.time_limit,
-            request.scheduler, request.search_workers, request.rule_profile,
-            request.extractor, request.top_k, request.apply_workers,
-            check=request.check, trace=request.trace,
-            metrics=request.metrics,
-        )
+        limits = self.resolve_limits(**request.limit_overrides())
         payload: dict = {"target": request.target, "limits": limits.to_dict()}
         if request.kernel is not None:
             kernel = self.kernels.get(request.kernel)
@@ -702,7 +684,7 @@ class Session:
             and self.registry is target_registry
             and self.kernels is default_kernel_registry
             and (
-                _fork_available()
+                fork_available()
                 or all(p["target"] in BUILTIN_TARGETS for p in payloads)
             )
         )
@@ -809,7 +791,7 @@ class Session:
             if max_workers is None or max_workers < 1:
                 max_workers = min(len(payloads), os.cpu_count() or 2, 8)
             context = None
-            if _fork_available():
+            if fork_available():
                 # Fork inherits runtime-registered targets and the
                 # kernel registry; spawn would only see import-time
                 # registrations.

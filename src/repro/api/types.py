@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
 from ..ir.shapes import Array, Scalar, Shape
@@ -42,10 +42,11 @@ __all__ = [
 #: and step counts, provenance, candidates — is deterministic.
 VOLATILE_REPORT_FIELDS = ("seconds", "cache_hit", "phase_seconds", "metrics")
 
-#: Limits fields excluded from cache keys because they never change
-#: what a run computes (parallel search/apply are byte-identical to
-#: serial; check/trace/metrics only observe).  They are scrubbed from
-#: fingerprints for the same reason.
+#: Limits keys excluded from cache keys because they never change what
+#: a run computes (check/trace/metrics only observe), and scrubbed from
+#: fingerprints for the same reason.  The retired worker knobs are
+#: scrubbed too, so reports written while they existed fingerprint
+#: like current ones.
 VOLATILE_LIMIT_FIELDS = ("search_workers", "apply_workers", "check",
                          "trace", "metrics")
 
@@ -129,8 +130,6 @@ class OptimizationRequest:
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None
     scheduler: Optional[str] = None  # "simple" | "backoff"
-    search_workers: Optional[int] = None  # parallel e-matching fan-out
-    apply_workers: Optional[int] = None  # parallel apply-planning fan-out
     rule_profile: Optional[str] = None  # telemetry profile for pruning
     extractor: Optional[str] = None  # "greedy" | "dag"
     top_k: Optional[int] = None  # enumerate k cheapest distinct solutions
@@ -153,6 +152,13 @@ class OptimizationRequest:
     @property
     def display_name(self) -> str:
         return self.name or self.kernel or "<term>"
+
+    def limit_overrides(self) -> Dict[str, Any]:
+        """This request's :class:`~repro.api.limits.Limits` fields, as
+        keywords for :meth:`Limits.override` (``None`` = inherit)."""
+        from .limits import Limits
+
+        return {f.name: getattr(self, f.name) for f in fields(Limits)}
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
@@ -199,8 +205,7 @@ class OptimizationReport:
     #: Per-rule saturation telemetry (serialized RuleStats), or None
     #: for reports produced before telemetry existed.
     rule_stats: Optional[Dict[str, Any]] = None
-    #: Run-total wall-clock split: search/apply/rebuild/extract (plus
-    #: search_cpu, the summed per-rule search seconds across workers).
+    #: Run-total wall-clock split: search/apply/rebuild/extract.
     phase_seconds: Optional[Dict[str, float]] = None
     #: Rules dropped by profile-driven pruning before the run, or None
     #: when no profile was applied (and for pre-pruning reports).
@@ -216,7 +221,7 @@ class OptimizationReport:
     #: unless the run asked for ``top_k > 1``.
     candidates: Optional[list] = None
     #: Metrics-registry snapshot (``repro-metrics/1`` schema — runner /
-    #: store / pool / extraction / cache / process families, see
+    #: store / extraction / cache / process families, see
     #: :mod:`repro.obs.metrics`); None unless the run asked for
     #: ``metrics=True``.
     metrics: Optional[Dict[str, Any]] = None

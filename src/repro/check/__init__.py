@@ -7,7 +7,7 @@ Two engines share one diagnostics framework:
   saturation-hygiene lints), run before any e-graph exists;
 * :mod:`repro.check.egraph` — an invariant verifier for the live
   slotted e-graph store (hashcons bijectivity, congruence, union-find
-  and parent-list consistency, snapshot agreement), run *between*
+  and parent-list consistency), run *between*
   saturation steps when ``Limits(check=True)`` / ``REPRO_CHECK=1`` is
   set.
 

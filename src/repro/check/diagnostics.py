@@ -79,12 +79,12 @@ CODES: Dict[str, str] = {
              "different classes after rebuild",
     "EG103": "union-find inconsistency: a live class id is not its own "
              "root, or a root resolves to no live class",
-    "EG104": "slot-store corruption: parallel slot columns disagree or "
+    "EG104": "slot-store corruption: the slot columns disagree or "
              "a parent slot is out of range / stale",
     "EG105": "parent-list incompleteness: an e-node is missing from "
              "some child class's parent list",
-    "EG106": "snapshot disagreement: the frozen columnar store does "
-             "not reproduce the live graph",
+    # EG106 (snapshot disagreement) is retired with the columnar
+    # snapshot store; the code is not reused.
 }
 
 

@@ -124,19 +124,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="write rule provenance (each run's "
                              "solution_rules and top-k candidates) to this "
                              "JSON file")
-    parser.add_argument("-w", "--search-workers", type=_positive_int,
-                        default=None, metavar="N",
-                        help="fan each step's rule searches across N "
-                             "fork-shared worker processes (default: "
-                             "REPRO_SEARCH_WORKERS or 1 = serial; solutions "
-                             "are byte-identical either way)")
-    parser.add_argument("--apply-workers", type=_positive_int,
-                        default=None, metavar="N",
-                        help="precompute pure rules' right-hand terms across "
-                             "N fork-shared worker processes before the "
-                             "deterministic serial commit (default: "
-                             "REPRO_APPLY_WORKERS or 1 = serial; solutions "
-                             "are byte-identical either way)")
     parser.add_argument("--prune-from-profile", type=Path, default=None,
                         metavar="PATH",
                         help="before each run, drop rules a previously "
@@ -156,11 +143,11 @@ def _parser() -> argparse.ArgumentParser:
                              "sweep is O(graph) per step)")
     parser.add_argument("--trace", type=Path, default=None, metavar="PATH",
                         help="record every run's spans (request/step/phase/"
-                             "rule, plus worker lanes under -w) and write "
+                             "rule, plus worker lanes under -j) and write "
                              "one merged Chrome-trace JSON here — open it "
                              "in Perfetto (default: REPRO_TRACE; off)")
     parser.add_argument("--metrics", type=Path, default=None, metavar="PATH",
-                        help="collect engine metrics (runner/store/pool/"
+                        help="collect engine metrics (runner/store/"
                              "extraction/cache families) during every run "
                              "and write the merged snapshot here in the "
                              "Prometheus text format (default: "
@@ -721,11 +708,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     limits = Limits.from_env().override(
-        args.steps, args.nodes, args.time_limit, args.scheduler,
-        args.search_workers,
-        str(args.prune_from_profile) if args.prune_from_profile else None,
-        args.extractor, args.top_k,
-        apply_workers=args.apply_workers,
+        step_limit=args.steps,
+        node_limit=args.nodes,
+        time_limit=args.time_limit,
+        scheduler=args.scheduler,
+        rule_profile=str(args.prune_from_profile)
+        if args.prune_from_profile else None,
+        extractor=args.extractor,
+        top_k=args.top_k,
         check=args.check or None,
         trace=str(args.trace) if args.trace else None,
         metrics=True if args.metrics else None,

@@ -1,9 +1,9 @@
 """Metrics registry: labeled counters, gauges, and histograms.
 
 Metrics are grouped into **families** — one per instrumented subsystem
-(``runner``, ``store``, ``pool``, ``extraction``, ``cache``,
-``process``) — and each metric's samples are keyed by a sorted label
-set (rule, phase, kernel, worker, …).  A registry snapshot is a plain
+(``runner``, ``store``, ``extraction``, ``cache``, ``process``) — and
+each metric's samples are keyed by a sorted label set (rule, phase,
+kernel, worker, …).  A registry snapshot is a plain
 JSON-serializable dict that rides on
 ``OptimizationReport.metrics`` across process and cache boundaries,
 and :func:`to_prometheus` renders any snapshot in the Prometheus text

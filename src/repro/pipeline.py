@@ -46,7 +46,7 @@ class OptimizationResult:
     #: populated when the run asked for ``top_k > 1``; the first entry
     #: then coincides with the greedy best term.
     candidates: tuple = ()
-    #: Metrics-registry snapshot of the run (runner / store / pool /
+    #: Metrics-registry snapshot of the run (runner / store /
     #: extraction / process families, see :mod:`repro.obs.metrics`);
     #: ``None`` unless the run asked for ``metrics=True``.
     metrics: Optional[dict] = None
@@ -96,8 +96,6 @@ def optimize_term(
     node_limit: int = DEFAULT_LIMITS["node_limit"],
     time_limit: float = DEFAULT_LIMITS["time_limit"],
     scheduler: str = DEFAULT_LIMITS["scheduler"],
-    search_workers: int = DEFAULT_LIMITS["search_workers"],
-    apply_workers: int = DEFAULT_LIMITS["apply_workers"],
     rule_profile: Optional[str] = DEFAULT_LIMITS["rule_profile"],
     extractor: str = DEFAULT_LIMITS["extractor"],
     top_k: int = DEFAULT_LIMITS["top_k"],
@@ -109,11 +107,8 @@ def optimize_term(
 ) -> OptimizationResult:
     """Optimize a bare IR term for ``target``.
 
-    ``search_workers > 1`` fans each step's rule searches across a
-    fork-shared process pool attached to shared-memory e-graph
-    snapshots, and ``apply_workers > 1`` precomputes pure rules' result
-    terms on the same pool (byte-identical solutions either way, see
-    :mod:`repro.saturation.parallel`); ``rule_profile`` prunes rules a
+    Saturation runs serially in this process (:mod:`repro.saturation`).
+    ``rule_profile`` prunes rules a
     recorded telemetry profile says are wasteful for this kernel
     (:mod:`repro.saturation.pruning`); ``extractor`` selects the
     per-step extraction strategy and ``top_k`` additionally enumerates
@@ -148,8 +143,6 @@ def optimize_term(
         node_limit=node_limit,
         time_limit=time_limit,
         scheduler=scheduler,
-        search_workers=search_workers,
-        apply_workers=apply_workers,
         extractor=extractor,
         check=check,
         tracer=tracer,
@@ -202,8 +195,6 @@ def optimize(
     node_limit: int = DEFAULT_LIMITS["node_limit"],
     time_limit: float = DEFAULT_LIMITS["time_limit"],
     scheduler: str = DEFAULT_LIMITS["scheduler"],
-    search_workers: int = DEFAULT_LIMITS["search_workers"],
-    apply_workers: int = DEFAULT_LIMITS["apply_workers"],
     rule_profile: Optional[str] = DEFAULT_LIMITS["rule_profile"],
     extractor: str = DEFAULT_LIMITS["extractor"],
     top_k: int = DEFAULT_LIMITS["top_k"],
@@ -221,8 +212,6 @@ def optimize(
         node_limit=node_limit,
         time_limit=time_limit,
         scheduler=scheduler,
-        search_workers=search_workers,
-        apply_workers=apply_workers,
         rule_profile=rule_profile,
         extractor=extractor,
         top_k=top_k,

@@ -26,6 +26,9 @@ Stop conditions: fixpoint (a full step changed nothing and no rule is
 banned), step limit, e-node limit, or wall-clock time limit — the time
 limit is enforced *inside* the search and apply loops, so one huge
 step cannot overshoot the budget.
+
+Everything runs in one process, one rule at a time, as in egg's runner
+(Willsey et al., POPL 2021).
 """
 
 from __future__ import annotations
@@ -41,9 +44,15 @@ from ..extraction import CostModel, contributing_events, make_extractor
 from ..egraph.pattern import ClassBinding, TermBinding
 from ..egraph.rewrite import Match, Rule
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
-from ..obs.trace import CAT_EXTRACT, CAT_PHASE, CAT_STEP, NULL_TRACER, Tracer
-from .ematch import IncrementalMatcher
-from .parallel import ParallelSearch, SearchTask, resolve_workers
+from ..obs.trace import (
+    CAT_EXTRACT,
+    CAT_PHASE,
+    CAT_RULE,
+    CAT_STEP,
+    NULL_TRACER,
+    Tracer,
+)
+from .ematch import IncrementalMatcher, search_rule
 from .schedulers import RuleScheduler, make_scheduler
 from .telemetry import PhaseTimings, RuleStats
 
@@ -144,15 +153,6 @@ class RunResult:
     rule_stats: Dict[str, RuleStats] = field(default_factory=dict)
     #: Name of the scheduler that drove the run.
     scheduler: str = "simple"
-    #: Search-worker processes the run was configured with (1 = serial).
-    search_workers: int = 1
-    #: Steps whose search phase actually executed on the process pool
-    #: (0 under serial search or after a broken-pool fallback).
-    parallel_steps: int = 0
-    #: Apply-worker processes the run was configured with (1 = serial).
-    apply_workers: int = 1
-    #: Steps whose apply phase consumed a worker-computed term plan.
-    parallel_apply_steps: int = 0
     #: Name of the extractor that produced the per-step solutions.
     extractor: str = "greedy"
 
@@ -213,8 +213,6 @@ class Runner:
         time_limit: float = 300.0,
         scheduler: Union[str, RuleScheduler, None] = None,
         incremental: Optional[bool] = None,
-        search_workers: int = 1,
-        apply_workers: int = 1,
         applied_cap: int = 500_000,
         extractor: Union[str, type, None] = None,
         check: bool = False,
@@ -233,13 +231,6 @@ class Runner:
         self.incremental = (
             _incremental_default() if incremental is None else incremental
         )
-        # Rule searches within one step fan out across a fork-shared
-        # process pool (see repro.saturation.parallel); resolves to 1
-        # (serial) on platforms without fork.  Apply workers precompute
-        # pure appliers' terms on the same pool; the parent commits
-        # them in canonical order.
-        self.search_workers = resolve_workers(search_workers)
-        self.apply_workers = resolve_workers(apply_workers)
         # The applied-match cache is cleared when it outgrows this;
         # re-application is semantically idempotent, so the bound trades
         # a little rework for bounded memory on enormous runs.
@@ -280,10 +271,6 @@ class Runner:
             IncrementalMatcher(egraph, len(self.rules))
             if self.incremental else None
         )
-        searcher = ParallelSearch(
-            egraph, self.rules, self.search_workers, self.apply_workers,
-            tracer=self.tracer, metrics=self.metrics,
-        )
         contexts: List[object] = [None] * len(self.rules)
         records: List[StepRecord] = []
         # Union of every recorded solution's provenance events, keyed
@@ -297,79 +284,9 @@ class Runner:
             contributed,
         ))
         stop_reason = StopReason.STEP_LIMIT
-        applied: Set[tuple] = set()
-        try:
-            stop_reason = self._run_steps(
-                egraph, scheduler, matcher, searcher, contexts, applied,
-                stats, records, contributed, root_class, cost_model,
-                extract_each_step, deadline,
-            )
-        finally:
-            # Shut the pool down and unlink the published snapshot even
-            # when extraction or a rule applier raises.
-            searcher.close()
-        # Provenance feeds telemetry: how many of each rule's logged
-        # events touched a class of any recorded per-step solution.
-        for rule_stats in stats:
-            events = contributed.get(rule_stats.name)
-            if events:
-                rule_stats.solution_unions = len(events)
-        m = self.metrics
-        if m.enabled:
-            m.set("runner", "stop_reason", 1,
-                  help="why the run stopped (label carries the reason)",
-                  reason=stop_reason)
-            m.set("store", "enodes", egraph.num_nodes,
-                  help="e-nodes in the final graph")
-            m.set("store", "eclasses", egraph.num_classes,
-                  help="canonical e-classes in the final graph")
-            slots = len(egraph._slot_form)
-            m.set("store", "slots", slots,
-                  help="allocated flat-store slots")
-            m.set("store", "slot_occupancy",
-                  egraph.num_nodes / slots if slots else 0.0,
-                  help="live e-nodes per allocated slot")
-            m.set("pool", "search_workers", self.search_workers,
-                  help="configured search-worker processes")
-            m.set("pool", "apply_workers", self.apply_workers,
-                  help="configured apply-worker processes")
-            m.set("pool", "parallel_steps", searcher.parallel_steps,
-                  help="steps whose search phase ran on the pool")
-            m.set("pool", "parallel_apply_steps",
-                  searcher.parallel_apply_steps,
-                  help="steps whose apply phase consumed a worker plan")
-        return RunResult(
-            records,
-            stop_reason,
-            self.egraph.find(root_class),
-            rule_stats={s.name: s for s in stats},
-            scheduler=scheduler.name,
-            search_workers=self.search_workers,
-            parallel_steps=searcher.parallel_steps,
-            apply_workers=self.apply_workers,
-            parallel_apply_steps=searcher.parallel_apply_steps,
-            extractor=self.extractor_cls.name,
-        )
-
-    def _run_steps(
-        self,
-        egraph: EGraph,
-        scheduler: RuleScheduler,
-        matcher: Optional[IncrementalMatcher],
-        searcher: ParallelSearch,
-        contexts: List[object],
-        applied: Set[tuple],
-        stats: List["RuleStats"],
-        records: List[StepRecord],
-        contributed: Dict[str, Set[int]],
-        root_class: int,
-        cost_model,
-        extract_each_step: bool,
-        deadline: float,
-    ) -> str:
-        stop_reason = StopReason.STEP_LIMIT
         tracer = self.tracer
         m = self.metrics
+        applied: Set[tuple] = set()
         for step in range(1, self.step_limit + 1):
             phases = PhaseTimings()
             step_span = tracer.span(f"step {step}", cat=CAT_STEP)
@@ -384,8 +301,8 @@ class Runner:
                 if matcher is not None:
                     matcher.begin_step()
                 matches, restricted, timed_out = self._search_step(
-                    step, scheduler, matcher, searcher, contexts, applied,
-                    stats, deadline, phases,
+                    step, scheduler, matcher, contexts, applied, stats,
+                    deadline,
                 )
                 if (
                     matcher is not None and restricted and not matches
@@ -396,51 +313,34 @@ class Runner:
                     # so step counts match the naive engine's.
                     matcher.force_full_all()
                     matches, _, timed_out = self._search_step(
-                        step, scheduler, matcher, searcher, contexts, applied,
-                        stats, deadline, phases, verify_pass=True,
+                        step, scheduler, matcher, contexts, applied, stats,
+                        deadline, verify_pass=True,
                     )
                     restricted = False
             phases.search = search_span.duration
 
             # --- apply --------------------------------------------------
-            # Plan: workers precompute result terms for pure appliers
-            # (a no-op returning an empty plan under serial apply).
-            # Commit: the parent walks the admitted matches in
-            # canonical order, splicing in planned terms where present
-            # and running impure appliers inline — mutations happen in
-            # exactly the serial order either way.
-            apply_span = tracer.span("apply", cat=CAT_PHASE)
-            apply_span.__enter__()
-            planned, plan_cpu = searcher.plan_apply(matches, deadline)
-            commit_start = time.perf_counter()
-            unions = 0
-            for index, (rule_stats, rule, match) in enumerate(matches):
-                if (
-                    index % _APPLY_DEADLINE_STRIDE == 0
-                    and time.perf_counter() > deadline
-                ):
-                    timed_out = True
-                    break
-                # Tag mutations with the applying rule so the e-graph's
-                # union-origin log can attribute them (provenance).
-                egraph.origin_tag = rule_stats.name
-                terms = planned.get(index)
-                if terms is None:
+            with tracer.span("apply", cat=CAT_PHASE) as apply_span:
+                unions = 0
+                for index, (rule_stats, rule, match) in enumerate(matches):
+                    if (
+                        index % _APPLY_DEADLINE_STRIDE == 0
+                        and time.perf_counter() > deadline
+                    ):
+                        timed_out = True
+                        break
+                    # Tag mutations with the applying rule so the
+                    # e-graph's union-origin log can attribute them
+                    # (provenance).
+                    egraph.origin_tag = rule_stats.name
                     made = rule.apply(egraph, match)
-                else:
-                    made = rule.commit(egraph, match, terms)
-                rule_stats.matches_applied += 1
-                rule_stats.unions += made
-                unions += made
-                if egraph.num_nodes > self.node_limit:
-                    break
-            egraph.origin_tag = None
-            commit_wall = time.perf_counter() - commit_start
-            apply_span.done()
+                    rule_stats.matches_applied += 1
+                    rule_stats.unions += made
+                    unions += made
+                    if egraph.num_nodes > self.node_limit:
+                        break
+                egraph.origin_tag = None
             phases.apply = apply_span.duration
-            # CPU actually spent applying: worker planning seconds plus
-            # the parent's commit wall (== apply wall when serial).
-            phases.apply_cpu = plan_cpu + commit_wall
 
             # --- rebuild ------------------------------------------------
             with tracer.span("rebuild", cat=CAT_PHASE) as rebuild_span:
@@ -509,7 +409,34 @@ class Runner:
             if timed_out or time.perf_counter() > deadline:
                 stop_reason = StopReason.TIME_LIMIT
                 break
-        return stop_reason
+        # Provenance feeds telemetry: how many of each rule's logged
+        # events touched a class of any recorded per-step solution.
+        for rule_stats in stats:
+            events = contributed.get(rule_stats.name)
+            if events:
+                rule_stats.solution_unions = len(events)
+        if m.enabled:
+            m.set("runner", "stop_reason", 1,
+                  help="why the run stopped (label carries the reason)",
+                  reason=stop_reason)
+            m.set("store", "enodes", egraph.num_nodes,
+                  help="e-nodes in the final graph")
+            m.set("store", "eclasses", egraph.num_classes,
+                  help="canonical e-classes in the final graph")
+            slots = len(egraph._slot_form)
+            m.set("store", "slots", slots,
+                  help="allocated e-node slots")
+            m.set("store", "slot_occupancy",
+                  egraph.num_nodes / slots if slots else 0.0,
+                  help="live e-nodes per allocated slot")
+        return RunResult(
+            records,
+            stop_reason,
+            self.egraph.find(root_class),
+            rule_stats={s.name: s for s in stats},
+            scheduler=scheduler.name,
+            extractor=self.extractor_cls.name,
+        )
 
     # ------------------------------------------------------------------
     # phases
@@ -532,24 +459,19 @@ class Runner:
         step: int,
         scheduler: RuleScheduler,
         matcher: Optional[IncrementalMatcher],
-        searcher: ParallelSearch,
         contexts: List[object],
         applied: Set[tuple],
         stats: List[RuleStats],
         deadline: float,
-        phases: PhaseTimings,
         verify_pass: bool = False,
     ) -> Tuple[List[Tuple[RuleStats, Rule, Match]], bool, bool]:
-        """Search every schedulable rule once.
+        """Search every schedulable rule once, in rule order.
 
-        The step is structured as *plan → execute → commit* so the
-        execute stage can fan out across worker processes: planning
-        makes every scheduling/restriction decision in canonical rule
-        order, execution runs the (independent, read-only) searches
-        serially or on the pool, and the commit stage folds results
-        back in canonical rule order — dedup, match admission, and
-        telemetry are therefore identical whichever executor ran, which
-        is what makes parallel solutions byte-identical to serial ones.
+        Each rule is scheduled, searched, deduplicated against
+        ``applied`` and admitted before the next rule starts.  Every
+        piece of state this touches (matcher dirt, scheduler state,
+        contexts, signatures) is per rule, and searching never mutates
+        the e-graph, so rule order alone fixes the result.
 
         Returns ``(matches, any_restricted, timed_out)`` where
         ``matches`` carries ``(rule_stats, rule, match)`` triples whose
@@ -560,16 +482,13 @@ class Runner:
         """
         egraph = self.egraph
         m = self.metrics
+        trace = self.tracer.enabled
         matches: List[Tuple[RuleStats, Rule, Match]] = []
         any_restricted = False
-        timed_out = False
-
-        # --- plan: scheduling + restriction decisions, in rule order --
-        tasks: List[SearchTask] = []
+        searched = False
         for rule_index, rule in enumerate(self.rules):
             if time.perf_counter() > deadline:
-                timed_out = True
-                break
+                return matches, any_restricted, True
             rule_stats = stats[rule_index]
             if not scheduler.should_search(step, rule_index, rule):
                 if not verify_pass:
@@ -594,30 +513,19 @@ class Runner:
             if matcher is not None and step >= 2:
                 restrict = matcher.restrict_for(rule_index)
             any_restricted |= restrict is not None
-            tasks.append((rule_index, restrict))
 
-        # --- execute: independent read-only searches ------------------
-        outcomes = searcher.run_tasks(
-            tasks,
-            # Cost estimate for load balancing: the rule's cumulative
-            # search time so far (small floor spreads new rules evenly).
-            [max(stats[index].search_seconds, 1e-4) for index, _ in tasks],
-            deadline,
-        )
-        if tasks and time.perf_counter() > deadline:
-            # Searches past the deadline abort early and return partial
-            # (possibly empty) match lists; without this flag an
-            # empty-handed truncated step could masquerade as a
-            # fixpoint and stop the run as SATURATED.
-            timed_out = True
-
-        # --- commit: telemetry, dedup, admission — in rule order ------
-        for rule_index, restrict in tasks:
-            rule = self.rules[rule_index]
-            rule_stats = stats[rule_index]
-            seconds, found = outcomes[rule_index]
+            started = time.perf_counter()
+            found = search_rule(egraph, rule, restrict, deadline)
+            seconds = time.perf_counter() - started
+            searched = True
+            if trace:
+                # The rule is timed anyway; record the span after the
+                # fact instead of wrapping the hot loop.
+                self.tracer.add_complete(
+                    f"search:{rule.name}", CAT_RULE, started, seconds,
+                    matches=len(found),
+                )
             rule_stats.search_seconds += seconds
-            phases.search_cpu += seconds
             rule_stats.searches += 1
             rule_stats.matches_found += len(found)
             if m.enabled:
@@ -626,7 +534,6 @@ class Runner:
                           rule=rule_stats.name)
             if matcher is not None:
                 matcher.note_searched(rule_index, restrict is not None)
-            context = contexts[rule_index]
             # Dedup against everything already applied *before* the
             # scheduler counts: the match budget meters new work, not
             # the rediscovery of old matches.
@@ -655,6 +562,11 @@ class Runner:
             for signature, match in admitted:
                 applied.add(signature)
                 matches.append((rule_stats, rule, match))
+        # A search past the deadline aborts early and returns a partial
+        # (possibly empty) match list; without this flag an empty-handed
+        # truncated step could masquerade as a fixpoint and stop the run
+        # as SATURATED.
+        timed_out = searched and time.perf_counter() > deadline
         return matches, any_restricted, timed_out
 
     def _record(

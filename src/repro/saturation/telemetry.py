@@ -83,24 +83,12 @@ class RuleStats:
 
 @dataclass
 class PhaseTimings:
-    """Wall-clock split of one saturation step (or a whole run).
-
-    ``search`` is wall-clock time of the search phase; ``search_cpu``
-    is the *sum of per-rule search seconds*, which equals ``search``
-    under serial search but exceeds it when rule searches fan out
-    across worker processes (``Limits(search_workers=N)``) — the ratio
-    ``search_cpu / search`` is the effective search parallelism.
-    ``apply_cpu`` is the analogue for the apply phase: worker seconds
-    spent precomputing pure appliers' terms plus the parent's commit
-    wall; it equals ``apply`` under serial apply.
-    """
+    """Wall-clock split of one saturation step (or a whole run)."""
 
     search: float = 0.0
     apply: float = 0.0
     rebuild: float = 0.0
     extract: float = 0.0
-    search_cpu: float = 0.0
-    apply_cpu: float = 0.0
 
     @property
     def total(self) -> float:
@@ -112,23 +100,23 @@ class PhaseTimings:
             "apply": self.apply,
             "rebuild": self.rebuild,
             "extract": self.extract,
-            "search_cpu": self.search_cpu,
-            "apply_cpu": self.apply_cpu,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PhaseTimings":
-        # Tolerate dicts written before a field existed (search_cpu was
-        # added with parallel e-matching).
-        return cls(**{k: float(v) for k, v in dict(data).items()})
+        # Tolerate dicts written before a phase existed, and dicts that
+        # still carry the retired ``search_cpu`` / ``apply_cpu`` sums.
+        return cls(**{
+            name: float(data[name])
+            for name in ("search", "apply", "rebuild", "extract")
+            if name in data
+        })
 
     def add(self, other: "PhaseTimings") -> None:
         self.search += other.search
         self.apply += other.apply
         self.rebuild += other.rebuild
         self.extract += other.extract
-        self.search_cpu += other.search_cpu
-        self.apply_cpu += other.apply_cpu
 
 
 def rule_stats_to_dict(stats: Mapping[str, RuleStats]) -> Dict[str, dict]:

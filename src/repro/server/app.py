@@ -320,11 +320,7 @@ class OptimizationServer:
                 ) from exc
         try:
             limits = self.session.resolve_limits(
-                request.step_limit, request.node_limit, request.time_limit,
-                request.scheduler, request.search_workers,
-                request.rule_profile, request.extractor, request.top_k,
-                request.apply_workers, check=request.check,
-                trace=request.trace, metrics=request.metrics,
+                **request.limit_overrides()
             )
         except ValueError as exc:
             raise AdmissionError(400, "bad_request", str(exc)) from exc

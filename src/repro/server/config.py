@@ -60,16 +60,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from ..api.limits import CAPPABLE_FIELDS, Limits
+from ..api.limits import CAPPABLE_FIELDS, RETIRED_WORKER_FIELDS, Limits
 
 __all__ = ["ConfigError", "TenantConfig", "ObservabilityConfig",
            "ServeConfig", "ANONYMOUS_TENANT", "SERVE_TOML_KEYS"]
 
 ANONYMOUS_TENANT = "anonymous"
 
+#: [limits] keys: the Limits fields, plus the retired worker knobs,
+#: which load only with the value 1.
 _LIMIT_KEYS = ("step_limit", "node_limit", "time_limit", "scheduler",
-               "search_workers", "rule_profile", "extractor", "top_k",
-               "apply_workers", "check", "trace", "metrics")
+               "rule_profile", "extractor", "top_k", "check", "trace",
+               "metrics") + RETIRED_WORKER_FIELDS
 
 #: Every serve.toml section and its allowed keys — the single source
 #: the strict validation below *and* the ``tools/check_docs.py`` audit
@@ -310,6 +312,12 @@ class ServeConfig:
 
         limits_section = dict(data.get("limits", {}))
         _require_keys("limits", limits_section, _LIMIT_KEYS)
+        for name in RETIRED_WORKER_FIELDS:
+            if limits_section.pop(name, 1) != 1:
+                raise ConfigError(
+                    f"invalid [limits]: {name} was removed (saturation "
+                    f"runs serially); only {name} = 1 is accepted"
+                )
         limits: Optional[Limits] = None
         if limits_section:
             try:

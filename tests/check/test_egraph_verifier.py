@@ -67,7 +67,7 @@ class TestSeededCorruption:
             cid for cid in ids if not eg.same(cid, victim)
         )
         eg._memo[node] = other
-        findings = verify(eg, snapshot=False)
+        findings = verify(eg)
         assert "EG101" in _codes(findings)
 
     def test_eg102_congruence_split(self):
@@ -82,14 +82,14 @@ class TestSeededCorruption:
             if not eg.same(cid, donor_id)
         )
         other.nodes[node] = None
-        findings = verify(eg, snapshot=False)
+        findings = verify(eg)
         assert "EG102" in _codes(findings)
 
     def test_eg103_class_record_mismatch(self):
         eg = _healthy_egraph()
         cid = eg.class_ids()[0]
         eg._classes[cid].class_id = cid + 999_999
-        findings = verify(eg, snapshot=False)
+        findings = verify(eg)
         assert "EG103" in _codes(findings)
 
     def test_eg104_slot_owner_corrupted(self):
@@ -98,13 +98,13 @@ class TestSeededCorruption:
             s for ec in eg._classes.values() for s in ec.parents
         )
         eg._slot_class[slot] = 999_999_999
-        findings = verify(eg, snapshot=False)
+        findings = verify(eg)
         assert "EG104" in _codes(findings)
 
     def test_eg104_slot_columns_diverge(self):
         eg = _healthy_egraph()
         eg._slot_class.append(0)
-        findings = verify(eg, snapshot=False)
+        findings = verify(eg)
         assert "EG104" in _codes(findings)
 
     def test_eg105_parent_entry_dropped(self):
@@ -115,30 +115,8 @@ class TestSeededCorruption:
             ec for ec in eg._classes.values() if ec.parents
         )
         eclass.parents = []
-        findings = verify(eg, snapshot=False)
+        findings = verify(eg)
         assert "EG105" in _codes(findings)
-
-    def test_eg106_snapshot_disagreement(self, monkeypatch):
-        # A snapshot is derived from the live graph, so live-side
-        # corruption cannot desynchronize it; EG106 exists to catch
-        # bugs in the freeze/attach layer itself.  Seed one: corrupt
-        # the frozen union-find column on its way out of from_egraph.
-        from repro.egraph import store as store_mod
-
-        eg = _healthy_egraph()
-        roots = eg.class_ids()
-        original = store_mod.FlatStore.from_egraph.__func__
-
-        def corrupted(cls, egraph):
-            flat = original(cls, egraph)
-            flat.uf[roots[0]] = roots[1]
-            return flat
-
-        monkeypatch.setattr(
-            store_mod.FlatStore, "from_egraph", classmethod(corrupted)
-        )
-        findings = verify(eg, snapshot=True)
-        assert "EG106" in _codes(findings)
 
     def test_all_corruption_findings_are_errors(self):
         eg = _healthy_egraph()
@@ -146,7 +124,7 @@ class TestSeededCorruption:
             s for ec in eg._classes.values() for s in ec.parents
         )
         eg._slot_class[slot] = 999_999_999
-        for finding in verify(eg, snapshot=False):
+        for finding in verify(eg):
             if finding.code != "EG104":
                 continue
             assert finding.severity is Severity.ERROR
@@ -157,7 +135,7 @@ class TestSeededCorruption:
         eg = _healthy_egraph()
         for cid in eg.class_ids():
             eg._classes[cid].class_id = cid + 999_999
-        findings = verify(eg, snapshot=False)
+        findings = verify(eg)
         errors = [f for f in findings if f.code == "EG103"
                   and f.severity is Severity.ERROR]
         notes = [f for f in findings if f.code == "EG103"
@@ -170,7 +148,7 @@ class TestSeededCorruption:
         cid = eg.class_ids()[0]
         eg._classes[cid].class_id = cid + 999_999
         with pytest.raises(CheckFailure) as excinfo:
-            verify_or_raise(eg, snapshot=False, context="after step 2")
+            verify_or_raise(eg, context="after step 2")
         assert "after step 2" in str(excinfo.value)
         assert any(d.code == "EG103" for d in excinfo.value.diagnostics)
 

@@ -55,6 +55,14 @@ class TestPhaseTimings:
         assert phases.total == pytest.approx(3.75)
         assert PhaseTimings.from_dict(phases.to_dict()) == phases
 
+    def test_from_dict_tolerates_old_and_retired_keys(self):
+        # Reports cached before a phase existed lack it; reports cached
+        # while parallel search existed carry search_cpu / apply_cpu.
+        assert PhaseTimings.from_dict({"search": 1.0}) == PhaseTimings(1.0)
+        old = {"search": 1.0, "apply": 2.0, "rebuild": 0.5, "extract": 0.25,
+               "search_cpu": 3.0, "apply_cpu": 4.0}
+        assert PhaseTimings.from_dict(old) == PhaseTimings(1.0, 2.0, 0.5, 0.25)
+
 
 class TestRunnerTelemetry:
     def _run(self):
@@ -111,8 +119,7 @@ class TestReportTelemetry:
         assert report.rule_stats
         assert any(s["matches_found"] > 0 for s in report.rule_stats.values())
         assert set(report.phase_seconds) == {
-            "search", "apply", "rebuild", "extract", "search_cpu",
-            "apply_cpu",
+            "search", "apply", "rebuild", "extract",
         }
         # The whole report still round-trips through JSON.
         restored = OptimizationReport.from_json(report.to_json())
