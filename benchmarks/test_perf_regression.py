@@ -19,11 +19,13 @@ across commits without any of them gating a merge.
 Refreshing the baseline after a legitimate change (a speedup to bank,
 or an intentional cost-model/solution change): run
 
-    REPRO_UPDATE_BASELINE=1 PYTHONPATH=src \
-        python -m pytest benchmarks/test_perf_regression.py -q
+    REPRO_UPDATE_BASELINE=1 PYTHONPATH=src python -m pytest benchmarks -q
 
 on a quiet machine with default limits (no ``REPRO_*`` knobs) and
-commit the rewritten ``baseline.json`` — see CONTRIBUTING.md.
+commit the rewritten ``baseline.json`` — see CONTRIBUTING.md.  Refresh
+from the whole suite, which is what CI gates: runs are shared between
+modules, and a pair first run after other modules reads slower than
+the same pair run by this module alone.
 """
 
 import json

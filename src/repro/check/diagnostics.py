@@ -85,6 +85,8 @@ CODES: Dict[str, str] = {
              "some child class's parent list",
     # EG106 (snapshot disagreement) is retired with the columnar
     # snapshot store; the code is not reused.
+    "EG107": "leaf-class index drift: the per-op leaf-class index "
+             "disagrees with a scan of the class table",
 }
 
 

@@ -18,10 +18,15 @@ reports every broken representation invariant as a
   forms, but never forms that left the graph);
 * **EG105** — parent-list completeness: every e-node is registered in
   the parent list of each of its children's classes (the congruence
-  worklist misses repairs otherwise).
+  worklist misses repairs otherwise);
+* **EG107** — leaf-class index: for each leaf op (``var``, ``const``,
+  ``symbol``) the index :meth:`~repro.egraph.egraph.EGraph.leaf_classes`
+  reads equals a fresh scan of the class table (the intro rules'
+  candidate strategies read the index instead of scanning).
 
 EG106 (agreement with a columnar snapshot) is retired together with the
-snapshot store it checked; the code is not reused.
+snapshot store it checked; the code is not reused, which is why the
+leaf-class check is EG107.
 
 The verifier never fixes anything; it runs between saturation steps
 when ``Limits(check=True)`` / ``REPRO_CHECK=1`` is set (see
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from ..egraph.enode import ENode
+from ..egraph.enode import LEAF_OPS, ENode
 from .diagnostics import Diagnostic, Severity, has_errors, render_text
 
 if TYPE_CHECKING:  # runtime import would be a cycle for egraph debug aids
@@ -244,6 +249,29 @@ def verify(egraph: "EGraph") -> List[Diagnostic]:
                     f"its child class {child_root}",
                     location=f"class {child_root}",
                 )
+
+    # -- EG107: leaf-class index agrees with a full scan ----------------
+    for op in sorted(LEAF_OPS):
+        scanned = {
+            class_id
+            for class_id, eclass in classes.items()
+            if any(node.op == op for node in eclass.nodes)
+        }
+        indexed = egraph._leaf_classes.get(op, set())
+        for class_id in sorted(indexed - scanned):
+            out.add(
+                "EG107",
+                f"leaf-class index lists class {class_id} under {op!r}, "
+                f"but it is not a live class holding a {op!r} e-node",
+                location=f"class {class_id}",
+            )
+        for class_id in sorted(scanned - indexed):
+            out.add(
+                "EG107",
+                f"class {class_id} holds a {op!r} e-node but is missing "
+                "from the leaf-class index",
+                location=f"class {class_id}",
+            )
 
     return out.done()
 

@@ -37,6 +37,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -500,6 +502,22 @@ def _serve_main(argv: List[str]) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     server.verbose = not args.quiet
+
+    daemon_pid = os.getpid()
+
+    def _on_sigterm(signum, frame):
+        # Leave through the same path as Ctrl-C: server.stop() shuts
+        # HTTP down and closes the fork pool, so no worker outlives the
+        # daemon.  A second SIGTERM during shutdown kills outright, and
+        # a forked pool worker that inherited this handler dies as it
+        # would without it.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        if os.getpid() != daemon_pid:
+            os.kill(os.getpid(), signal.SIGTERM)
+            return
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, _on_sigterm)
     server.start()
     # The announce line is part of the contract: tests and the CI
     # smoke script bind --port 0 and parse the ephemeral port here.

@@ -31,6 +31,28 @@ longer miss entries that were re-keyed by an earlier merge and the
 O(memo) safety sweep the previous object store needed every rebuild is
 gone.
 
+Indices and caches, each with its invalidation key:
+
+* **leaf-class index** — one set of canonical class ids per leaf op
+  (``var``, ``const``, ``symbol``).  :meth:`EGraph.add_enode` adds to
+  it and :meth:`EGraph.merge` moves the loser's membership to the
+  winner, so it is never stale; :meth:`EGraph.leaf_classes` serves the
+  intro rules' candidate strategies without a scan of the class table.
+* **smallest-term table** (:meth:`EGraph._size_table`) and the
+  **op index** (:meth:`EGraph.classes_by_op`) — keyed on
+  :attr:`EGraph.generation`, so one table serves a whole saturation
+  step.
+* **candidate memo** (:meth:`EGraph.extract_candidates`) and
+  **unshift memo** (:meth:`EGraph.unshifted_candidates`) — per
+  canonical class, keyed on ``(version, generation)``: any mutation
+  bumps ``version``, and a rebuild that merges nothing still bumps
+  ``generation``, which changes the size table the candidates are
+  built from.  Both tables are dropped whenever the key moves, so they
+  hold one graph state at most.
+* **merge log** (:meth:`EGraph.pop_merged`) — the class ids merged
+  away since the last call; the saturation runner re-canonicalizes
+  only the applied-match signatures that embed one of them.
+
 :func:`repro.check.egraph.verify` sweeps every representation
 invariant of this layout on demand (``Limits(check=True)`` /
 ``REPRO_CHECK=1`` runs it after every saturation step).
@@ -42,8 +64,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple as TupleT
 
+from ..ir.debruijn import try_unshift
 from ..ir.terms import Term
-from .enode import ENode, enode_to_term_shallow, term_to_parts
+from .enode import LEAF_OPS, ENode, enode_to_term_shallow, term_to_parts
 from .unionfind import UnionFind
 
 __all__ = ["EGraph", "EClass", "ClassRef", "Analysis"]
@@ -139,6 +162,23 @@ class EGraph:
         # Terms read from a slightly stale table are still valid class
         # members (classes only ever grow).
         self.generation = 0
+        # Leaf op -> canonical ids of the classes holding an e-node with
+        # that op; add_enode() and merge() keep it current.
+        self._leaf_classes: Dict[str, Set[int]] = {op: set() for op in LEAF_OPS}
+        # Class ids merged away (union losers) since the last
+        # pop_merged(); each id enters at most once.
+        self._merged: List[int] = []
+        # (generation, table) caches; see _size_table / classes_by_op.
+        self._size_cache: Optional[TupleT[int, Dict[int, TupleT[int, ENode]]]] = None
+        self._op_index_cache: Optional[TupleT[int, Dict[str, List[int]]]] = None
+        # Candidate and unshift memos, valid for one (version,
+        # generation) key; see extract_candidates.
+        self._candidate_key: TupleT[int, int] = (-1, -1)
+        self._candidates: Dict[TupleT[int, int], TupleT[Term, ...]] = {}
+        self._unshifted: Dict[TupleT[int, int], TupleT[Term, ...]] = {}
+        # Smallest term per raw class id, shared by the memoized
+        # candidates (same key).
+        self._terms: Dict[int, Optional[Term]] = {}
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -213,6 +253,28 @@ class EGraph:
         self._dirty.clear()
         return dirty
 
+    def pop_merged(self) -> List[int]:
+        """Ids of every class merged away (no longer canonical) since
+        the previous call, clearing the log.  Consumed at each rebuild
+        by the saturation runner's applied-match index."""
+        merged, self._merged = self._merged, []
+        return merged
+
+    def leaf_classes(self, *ops: str) -> List[int]:
+        """Ascending canonical ids of the classes holding an e-node whose
+        op is one of the leaf ``ops`` (``var``, ``const``, ``symbol``).
+
+        Read off the per-op index.  Class ids are allocated
+        monotonically and a merge winner keeps its slot in the class
+        table, so the order equals a scan of :meth:`classes`.
+        """
+        if len(ops) == 1:
+            return sorted(self._leaf_classes[ops[0]])
+        members: Set[int] = set()
+        for op in ops:
+            members |= self._leaf_classes[op]
+        return sorted(members)
+
     # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------
@@ -237,6 +299,9 @@ class EGraph:
             self._classes[self._uf.find(child)].parents.append(slot)
         if enode.op in ("build", "ifold"):
             self.known_sizes.add(enode.payload)  # type: ignore[arg-type]
+        leaf = self._leaf_classes.get(enode.op)
+        if leaf is not None:
+            leaf.add(class_id)
         if self._analysis is not None:
             eclass.data = self._analysis.make(self, enode)
         self._dirty.add(class_id)
@@ -276,6 +341,11 @@ class EGraph:
         loser = self._classes.pop(other)
         winner.nodes.update(loser.nodes)
         winner.parents.extend(loser.parents)
+        for members in self._leaf_classes.values():
+            if other in members:
+                members.discard(other)
+                members.add(new_root)
+        self._merged.append(other)
         if self._analysis is not None:
             winner.data = self._analysis.join(winner.data, loser.data)
             self._analysis_pending.append(new_root)
@@ -305,6 +375,9 @@ class EGraph:
         if self._analysis is not None:
             self._propagate_analysis()
         self.generation += 1
+        # The memos went stale with the generation; free them now rather
+        # than at the next lookup, so a finished graph holds none.
+        self._drop_memos()
         return unions
 
     def _sweep_memo(self) -> int:
@@ -418,9 +491,10 @@ class EGraph:
     def _size_table(self) -> Dict[int, TupleT[int, ENode]]:
         """Smallest-term size and witness e-node per class (fixpoint).
 
-        Cached per :attr:`version`.
+        Cached per :attr:`generation` (bumped by every rebuild), so the
+        rule appliers of one saturation step share one table.
         """
-        cached = getattr(self, "_size_cache", None)
+        cached = self._size_cache
         if cached is not None and cached[0] == self.generation:
             return cached[1]
         table: Dict[int, TupleT[int, ENode]] = {}
@@ -452,29 +526,43 @@ class EGraph:
         return self._build_term(self._uf.find(class_id), table)
 
     def _build_term(
-        self, class_id: int, table: Dict[int, TupleT[int, ENode]]
+        self,
+        class_id: int,
+        table: Dict[int, TupleT[int, ENode]],
+        memo: Optional[Dict[int, Optional[Term]]] = None,
     ) -> Optional[Term]:
+        """The smallest term of ``class_id`` under ``table``.  With a
+        ``memo`` (raw class id -> term, valid for one graph state),
+        subterms are built once and shared between the terms built."""
+        if memo is not None and class_id in memo:
+            return memo[class_id]
         # The table may be one rebuild stale; try both the canonical id
         # and the raw id (one of a merged pair keeps its id as root).
         entry = table.get(self._uf.find(class_id))
         if entry is None:
             entry = table.get(class_id)
-        if entry is None:
-            return None
-        node = entry[1]
-        children = []
-        for child in node.children:
-            child_term = self._build_term(child, table)
-            if child_term is None:
-                return None
-            children.append(child_term)
-        return enode_to_term_shallow(node.op, node.payload, tuple(children))
+        term: Optional[Term] = None
+        if entry is not None:
+            node = entry[1]
+            children = []
+            for child in node.children:
+                child_term = self._build_term(child, table, memo)
+                if child_term is None:
+                    break
+                children.append(child_term)
+            else:
+                term = enode_to_term_shallow(
+                    node.op, node.payload, tuple(children)
+                )
+        if memo is not None:
+            memo[class_id] = term
+        return term
 
     def classes_by_op(self) -> Dict[str, List[int]]:
         """Map each operator tag to the classes containing an e-node
         with that tag.  Cached per generation; pattern search uses it to
         skip classes that cannot match a pattern's root."""
-        cached = getattr(self, "_op_index_cache", None)
+        cached = self._op_index_cache
         if cached is not None and cached[0] == self.generation:
             return cached[1]
         index: Dict[str, List[int]] = {}
@@ -485,7 +573,20 @@ class EGraph:
         self._op_index_cache = (self.generation, index)
         return index
 
-    def extract_candidates(self, class_id: int, limit: int = 4) -> List[Term]:
+    def _refresh_memos(self) -> None:
+        """Drop the candidate and unshift memos when the graph moved
+        past the ``(version, generation)`` state they were built in."""
+        key = (self.version, self.generation)
+        if key != self._candidate_key:
+            self._candidate_key = key
+            self._drop_memos()
+
+    def _drop_memos(self) -> None:
+        self._candidates = {}
+        self._unshifted = {}
+        self._terms = {}
+
+    def extract_candidates(self, class_id: int, limit: int = 4) -> TupleT[Term, ...]:
         """A few small distinct terms represented by ``class_id``.
 
         The smallest term comes first; the remainder vary the root
@@ -493,11 +594,58 @@ class EGraph:
         use these when matching shifted pattern variables: if the
         smallest representative mentions a forbidden bound variable, an
         alternative representative may still avoid it.
+
+        Memoized per canonical class and ``limit`` for one
+        ``(version, generation)`` state (see the module docstring); the
+        result is a tuple, so no caller can alter the memo.
         """
+        self._refresh_memos()
+        key = (self._uf.find(class_id), limit)
+        cached = self._candidates.get(key)
+        if cached is None:
+            cached = self._candidates[key] = tuple(
+                self._build_candidates(key[0], limit, self._terms)
+            )
+        return cached
+
+    def unshifted_candidates(self, class_id: int, shift: int) -> TupleT[Term, ...]:
+        """The distinct successful ``try_unshift(candidate, shift)``
+        results over :meth:`extract_candidates` (default limit), in
+        candidate order; the candidates themselves when ``shift`` is 0.
+
+        This is what a shifted pattern variable (``A↑…↑``) can bind to
+        in the class.  Memoized per (canonical class, ``shift``) under
+        the same key as :meth:`extract_candidates`.
+        """
+        self._refresh_memos()
+        key = (self._uf.find(class_id), shift)
+        cached = self._unshifted.get(key)
+        if cached is None:
+            candidates = self.extract_candidates(key[0])
+            if shift == 0:
+                cached = candidates
+            else:
+                terms: Dict[Term, None] = {}
+                for candidate in candidates:
+                    term = try_unshift(candidate, shift)
+                    if term is not None:
+                        terms[term] = None
+                cached = tuple(terms)
+            self._unshifted[key] = cached
+        return cached
+
+    def _build_candidates(
+        self,
+        class_id: int,
+        limit: int,
+        memo: Optional[Dict[int, Optional[Term]]] = None,
+    ) -> List[Term]:
+        """:meth:`extract_candidates` without its memo (``class_id``
+        must be canonical); ``memo`` shares subterms (see
+        :meth:`_build_term`)."""
         table = self._size_table()
-        class_id = self._uf.find(class_id)
         results: List[Term] = []
-        smallest = self._build_term(class_id, table)
+        smallest = self._build_term(class_id, table, memo)
         if smallest is not None:
             results.append(smallest)
         if class_id not in self._classes:
@@ -521,7 +669,7 @@ class EGraph:
             children = []
             ok = True
             for child in node.children:
-                child_term = self._build_term(child, table)
+                child_term = self._build_term(child, table, memo)
                 if child_term is None:
                     ok = False
                     break

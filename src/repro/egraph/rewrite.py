@@ -157,31 +157,20 @@ def var_classes(egraph: EGraph) -> List[int]:
     The default strategy for ``R-INTROLAMBDA``: every latent-idiom
     derivation in the paper introduces a lambda applied to a loop
     index, e.g. ``1 → (λ 1) •1`` while exposing the dot product in the
-    vector sum (§V-A).
+    vector sum (§V-A).  Read off the e-graph's leaf-class index, in
+    ascending class-id order.
     """
-    return [
-        eclass.class_id
-        for eclass in egraph.classes()
-        if any(node.op == "var" for node in eclass.nodes)
-    ]
+    return egraph.leaf_classes("var")
 
 
 def const_classes(egraph: EGraph) -> List[int]:
     """Classes containing a scalar constant e-node."""
-    return [
-        eclass.class_id
-        for eclass in egraph.classes()
-        if any(node.op == "const" for node in eclass.nodes)
-    ]
+    return egraph.leaf_classes("const")
 
 
 def atom_classes(egraph: EGraph) -> List[int]:
     """Classes containing any leaf e-node (variable, constant, symbol)."""
-    return [
-        eclass.class_id
-        for eclass in egraph.classes()
-        if any(node.op in ("var", "const", "symbol") for node in eclass.nodes)
-    ]
+    return egraph.leaf_classes("var", "const", "symbol")
 
 
 def all_classes(egraph: EGraph) -> List[int]:

@@ -29,6 +29,15 @@ step cannot overshoot the budget.
 
 Everything runs in one process, one rule at a time, as in egg's runner
 (Willsey et al., POPL 2021).
+
+The runner never re-applies a match it already applied: each admitted
+match's signature (rule, context, canonical class ids, bound terms)
+goes into an :class:`AppliedSet`.  Merges make embedded class ids
+stale, so at every rebuild the set re-canonicalizes exactly the
+signatures that embed an id from :meth:`EGraph.pop_merged`, found
+through a per-class index, instead of rebuilding the whole set.  The
+rest of the engine's caches live on the e-graph (see
+:mod:`repro.egraph.egraph`).
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ from .schedulers import RuleScheduler, make_scheduler
 from .telemetry import PhaseTimings, RuleStats
 
 __all__ = [
+    "AppliedSet",
     "StepRecord",
     "RunResult",
     "Runner",
@@ -96,6 +106,76 @@ def _canonicalize_signature(egraph: EGraph, signature: tuple) -> tuple:
         for name, kind, value in parts
     )
     return (rule_index, context, (new_root, new_parts))
+
+
+def _signature_classes(signature: tuple) -> set:
+    """The class ids an applied-match signature embeds."""
+    _, _, (root, parts) = signature
+    ids = {root}
+    for _, kind, value in parts:
+        if kind == "c":
+            ids.add(value)
+    return ids
+
+
+class AppliedSet:
+    """The signatures of every match applied so far, indexed by each
+    class id they embed.
+
+    :meth:`recanonicalize` takes the ids merged away since its previous
+    call and re-canonicalizes only the signatures that embed one of
+    them; afterwards the set equals
+    ``{_canonicalize_signature(egraph, s) for s in previous_set}``.
+    That holds because signatures are captured with canonical ids, and
+    an id only goes stale by being merged away.
+    """
+
+    __slots__ = ("signatures", "_by_class")
+
+    def __init__(self) -> None:
+        self.signatures: Set[tuple] = set()
+        self._by_class: Dict[int, Set[tuple]] = {}
+
+    def __contains__(self, signature: object) -> bool:
+        return signature in self.signatures
+
+    def __len__(self) -> int:
+        return len(self.signatures)
+
+    def add(self, signature: tuple) -> None:
+        if signature in self.signatures:
+            return
+        self.signatures.add(signature)
+        by_class = self._by_class
+        for class_id in _signature_classes(signature):
+            bucket = by_class.get(class_id)
+            if bucket is None:
+                by_class[class_id] = {signature}
+            else:
+                bucket.add(signature)
+
+    def clear(self) -> None:
+        self.signatures.clear()
+        self._by_class.clear()
+
+    def recanonicalize(self, egraph: EGraph, merged: Sequence[int]) -> None:
+        """Re-canonicalize the signatures embedding a ``merged`` id."""
+        by_class = self._by_class
+        stale: Set[tuple] = set()
+        for class_id in merged:
+            bucket = by_class.pop(class_id, None)
+            if bucket:
+                stale |= bucket
+        for signature in stale:
+            self.signatures.discard(signature)
+            for class_id in _signature_classes(signature):
+                bucket = by_class.get(class_id)
+                if bucket is not None:
+                    bucket.discard(signature)
+                    if not bucket:
+                        del by_class[class_id]
+        for signature in stale:
+            self.add(_canonicalize_signature(egraph, signature))
 
 
 class StopReason:
@@ -286,7 +366,9 @@ class Runner:
         stop_reason = StopReason.STEP_LIMIT
         tracer = self.tracer
         m = self.metrics
-        applied: Set[tuple] = set()
+        applied = AppliedSet()
+        # Merges before the run cannot stale a signature of this run.
+        egraph.pop_merged()
         for step in range(1, self.step_limit + 1):
             phases = PhaseTimings()
             step_span = tracer.span(f"step {step}", cat=CAT_STEP)
@@ -345,13 +427,10 @@ class Runner:
             # --- rebuild ------------------------------------------------
             with tracer.span("rebuild", cat=CAT_PHASE) as rebuild_span:
                 congruence_unions = egraph.rebuild()
-                if unions or congruence_unions:
-                    # Some class ids went stale: re-canonicalize the stored
-                    # signatures so later merges cannot resurrect matches.
-                    # A step with zero unions left the union-find untouched.
-                    applied = {
-                        _canonicalize_signature(egraph, s) for s in applied
-                    }
+                # Merged-away class ids went stale: re-canonicalize the
+                # signatures that embed them so later merges cannot
+                # resurrect matches.
+                applied.recanonicalize(egraph, egraph.pop_merged())
                 if len(applied) > self.applied_cap:
                     applied.clear()
             phases.rebuild = rebuild_span.duration
@@ -460,7 +539,7 @@ class Runner:
         scheduler: RuleScheduler,
         matcher: Optional[IncrementalMatcher],
         contexts: List[object],
-        applied: Set[tuple],
+        applied: AppliedSet,
         stats: List[RuleStats],
         deadline: float,
         verify_pass: bool = False,

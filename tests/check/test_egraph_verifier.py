@@ -118,6 +118,28 @@ class TestSeededCorruption:
         findings = verify(eg)
         assert "EG105" in _codes(findings)
 
+    def test_eg107_leaf_index_missing_class(self):
+        # Drop a var class from the leaf-class index: the intro rules'
+        # candidate strategy would silently stop offering it.
+        eg = _healthy_egraph()
+        var_class = min(eg._leaf_classes["var"])
+        eg._leaf_classes["var"].discard(var_class)
+        findings = [f for f in verify(eg) if f.code == "EG107"]
+        assert findings and findings[0].severity is Severity.ERROR
+        assert f"class {var_class}" in findings[0].message
+
+    def test_eg107_leaf_index_lists_dead_class(self):
+        # A merged-away id left behind in the index (merge forgot to
+        # move the loser's membership to the winner).
+        eg = _healthy_egraph()
+        dead = next(
+            i for i in range(len(eg._uf)) if not eg.has_class(i)
+        )
+        eg._leaf_classes["const"].add(dead)
+        findings = [f for f in verify(eg) if f.code == "EG107"]
+        assert len(findings) == 1
+        assert f"class {dead}" in findings[0].message
+
     def test_all_corruption_findings_are_errors(self):
         eg = _healthy_egraph()
         slot = next(

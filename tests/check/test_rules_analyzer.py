@@ -176,7 +176,8 @@ class TestDiagnosticsFramework:
     def test_every_code_is_registered(self):
         for code in ("RC101", "RC102", "RC103", "RC104", "RC201",
                      "RC202", "RC203", "RC204", "RC205", "RC206",
-                     "EG101", "EG102", "EG103", "EG104", "EG105"):
+                     "EG101", "EG102", "EG103", "EG104", "EG105",
+                     "EG107"):
             assert code in CODES
         # Retired with the snapshot store, and never reused.
         assert "EG106" not in CODES

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.egraph import ClassRef, EGraph, ENode
 from repro.ir import builders as b, parse, pretty
 from repro.egraph.rewrite import rewrite
-from repro.ir.terms import Call, Const, Symbol, Term
+from repro.ir.terms import Call, Const, Symbol, Term, Var
 from repro.rules.dsl import padd, pconst, pmul, pv
 from repro.saturation import Runner
 
@@ -338,3 +338,182 @@ def test_runner_and_extraction_names_are_not_reexported():
         import repro.egraph.extract  # noqa: F401
     for name in eg.__all__:
         assert getattr(eg, name) is not None, name
+
+
+# ---------------------------------------------------------------------------
+# Indices and memos: the leaf-class index, the candidate memo and the
+# unshift memo must agree with an uncached recomputation after every
+# mutation, with or without a rebuild in between.
+# ---------------------------------------------------------------------------
+
+
+def _scan_leaf_classes(eg, ops):
+    """The full class-table scan the leaf-class index replaced."""
+    return [
+        eclass.class_id
+        for eclass in eg.classes()
+        if any(node.op in ops for node in eclass.nodes)
+    ]
+
+
+def _unshift_oracle(eg, class_id, shift):
+    """Uncached ``unshifted_candidates``: dedup try_unshift over freshly
+    built candidates."""
+    from repro.ir.debruijn import try_unshift
+
+    terms = []
+    for candidate in eg._build_candidates(eg.find(class_id), 4):
+        term = candidate if shift == 0 else try_unshift(candidate, shift)
+        if term is not None and term not in terms:
+            terms.append(term)
+    return tuple(terms)
+
+
+def _outcome(compute):
+    """The value, or the exception type: between rebuilds the size
+    table can be stale enough that a witness chain loops, and then the
+    memo must fail exactly as the recomputation does."""
+    try:
+        return compute()
+    except RecursionError:
+        return RecursionError
+
+
+def _assert_caches_agree(eg):
+    from repro.egraph.rewrite import atom_classes, const_classes, var_classes
+
+    assert var_classes(eg) == _scan_leaf_classes(eg, {"var"})
+    assert const_classes(eg) == _scan_leaf_classes(eg, {"const"})
+    assert atom_classes(eg) == _scan_leaf_classes(
+        eg, {"var", "const", "symbol"}
+    )
+    for class_id in range(len(eg._uf)):
+        root = eg.find(class_id)
+        for limit in (1, 4):
+            assert _outcome(lambda: eg.extract_candidates(class_id, limit)) \
+                == _outcome(lambda: tuple(eg._build_candidates(root, limit)))
+        for shift in (0, 1, 2):
+            assert _outcome(lambda: eg.unshifted_candidates(class_id, shift)) \
+                == _outcome(lambda: _unshift_oracle(eg, class_id, shift))
+
+
+@st.composite
+def _cache_schedules(draw):
+    """Leaves, inner nodes, merges and rebuilds in random order."""
+    steps = []
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(
+            ["var", "const", "symbol", "lam", "app", "merge", "rebuild"]
+        ))
+        if kind == "var":
+            steps.append((kind, draw(st.integers(0, 2))))
+        elif kind == "const":
+            steps.append((kind, draw(st.integers(0, 1))))
+        elif kind == "symbol":
+            steps.append((kind, draw(st.sampled_from(["a", "b"]))))
+        elif kind == "rebuild":
+            steps.append((kind,))
+        else:
+            steps.append((kind, draw(st.integers(0, 30)),
+                          draw(st.integers(0, 30))))
+    return steps
+
+
+@given(_cache_schedules())
+@settings(max_examples=80, deadline=None)
+def test_indices_and_memos_match_uncached_recomputation(schedule):
+    """Property: after every add / merge (no rebuild between them, as
+    during a rule-apply phase) and every rebuild (including ones that
+    merge nothing), the leaf-class index returns the full-scan lists
+    and both memos equal an uncached recomputation."""
+    eg = EGraph()
+    ids = [eg.add_enode(ENode("symbol", "s", ()))]
+    for step in schedule:
+        kind = step[0]
+        if kind in ("var", "const", "symbol"):
+            ids.append(eg.add_enode(ENode(kind, step[1], ())))
+        elif kind == "lam":
+            ids.append(eg.add_enode(ENode("lam", None, (ids[step[1] % len(ids)],))))
+        elif kind == "app":
+            ids.append(eg.add_enode(ENode(
+                "app", None,
+                (ids[step[1] % len(ids)], ids[step[2] % len(ids)]),
+            )))
+        elif kind == "merge":
+            eg.merge(ids[step[1] % len(ids)], ids[step[2] % len(ids)])
+        else:
+            eg.rebuild()
+        _assert_caches_agree(eg)
+
+
+class TestCandidateMemo:
+    def test_rebuild_that_merges_nothing_refreshes_candidates(self):
+        # The size table is keyed on generation: classes added after it
+        # was built have no entry until the next rebuild, even one that
+        # merges nothing and leaves ``version`` unchanged.
+        eg = EGraph()
+        a = eg.add_term(Symbol("a"))
+        eg.rebuild()
+        assert eg.extract_candidates(a) == (Symbol("a"),)
+        fresh = eg.add_term(parse("b + c"))
+        assert eg.extract_candidates(fresh) == ()
+        assert eg.unshifted_candidates(fresh, 1) == ()
+        version = eg.version
+        assert eg.rebuild() == 0
+        assert eg.version == version
+        assert eg.extract_candidates(fresh) == (parse("b + c"),)
+        assert eg.unshifted_candidates(fresh, 1) == (parse("b + c"),)
+
+    def test_merge_without_rebuild_invalidates(self):
+        # As during a rule-apply phase: the merge bumps ``version`` but
+        # not ``generation``, and the merged class gains a candidate.
+        eg = EGraph()
+        a = eg.add_term(parse("a + 0"))
+        other = eg.add_term(parse("b"))
+        eg.rebuild()
+        assert eg.extract_candidates(a) == (parse("a + 0"),)
+        eg.merge(a, other)
+        assert set(eg.extract_candidates(a)) == {parse("a + 0"), parse("b")}
+        assert eg.extract_candidates(a) == tuple(
+            eg._build_candidates(eg.find(a), 4)
+        )
+
+    def test_memo_is_immutable_and_bounded_to_one_state(self):
+        eg = EGraph()
+        a = eg.add_term(parse("a + 0"))
+        eg.rebuild()
+        candidates = eg.extract_candidates(a)
+        assert isinstance(candidates, tuple)
+        assert eg.extract_candidates(a) is candidates  # served from the memo
+        eg.add_term(Symbol("c"))
+        assert eg.extract_candidates(a) is not candidates
+        assert len(eg._candidates) == 1
+        eg.rebuild()  # a finished graph holds no memo
+        assert not (eg._candidates or eg._unshifted or eg._terms)
+
+    def test_unshift_memo_drops_failures_and_duplicates(self):
+        eg = EGraph()
+        # •1 and •2 in one class: unshifting by 1 keeps •0 and •1,
+        # unshifting by 2 keeps only •0 (•1 references the inner binder).
+        one = eg.add_term(Var(1))
+        two = eg.add_term(Var(2))
+        eg.merge(one, two)
+        eg.rebuild()
+        assert set(eg.unshifted_candidates(one, 1)) == {Var(0), Var(1)}
+        assert eg.unshifted_candidates(one, 2) == (Var(0),)
+        assert eg.unshifted_candidates(one, 0) == eg.extract_candidates(one)
+
+
+def test_merge_log_is_consumed_once():
+    eg = EGraph()
+    a = eg.add_term(Symbol("a"))
+    b_ = eg.add_term(Symbol("b"))
+    c = eg.add_term(Symbol("c"))
+    assert eg.pop_merged() == []
+    winner = eg.merge(a, b_)
+    loser = b_ if winner == a else a
+    eg.merge(a, b_)  # already merged: not logged again
+    assert eg.pop_merged() == [loser]
+    assert eg.pop_merged() == []
+    winner2 = eg.merge(c, a)
+    assert eg.pop_merged() == [c if winner2 != c else winner]

@@ -11,6 +11,8 @@ docs/OBSERVABILITY.md: a trace id on every response, a JSONL event
 log with exactly one ``request.completed`` per optimize request, the
 ``/v1/debug/requests`` flight recorder, and a merged per-request
 Chrome trace whose lanes span the daemon and a fork-pool worker pid.
+Finally it stops the daemon with SIGTERM and asserts that it exits
+cleanly and that none of its fork-pool workers outlives it.
 
 Run from the repository root:
 ``PYTHONPATH=src python tools/server_smoke.py``
@@ -177,6 +179,60 @@ def check_observability(url: str, work: Path, health: dict) -> None:
     print(f"server_smoke: merged trace spans {len(lanes)} process lanes")
 
 
+def descendants(pid: int) -> list:
+    """Pids of every live descendant of ``pid`` (read from /proc)."""
+    children: dict = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+            ppid = int(stat.rsplit(")", 1)[1].split()[1])
+        except (OSError, ValueError, IndexError):
+            continue
+        children.setdefault(ppid, []).append(int(entry))
+    found, index = [pid], 0
+    while index < len(found):
+        found.extend(children.get(found[index], []))
+        index += 1
+    return found[1:]
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def stop_and_check_no_orphans(daemon, health: dict) -> None:
+    """SIGTERM the daemon; it must exit 0 and take its pool with it."""
+    workers = descendants(daemon.pid)
+    if health["pool"]["warm"] and not workers:
+        fail("pool is warm but the daemon has no worker processes")
+    daemon.terminate()
+    try:
+        code = daemon.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        fail("daemon did not exit within 30s of SIGTERM")
+    if code != 0:
+        fail(f"daemon exited {code} on SIGTERM, expected a clean 0")
+    deadline = time.monotonic() + 10
+    while True:
+        alive = [pid for pid in workers if running(pid)]
+        if not alive:
+            break
+        if time.monotonic() > deadline:
+            for pid in alive:
+                os.kill(pid, 9)
+            fail(f"pool workers {alive} outlived the daemon")
+        time.sleep(0.1)
+    print(f"server_smoke: SIGTERM stopped the daemon and its "
+          f"{len(workers)} pool worker(s)")
+
+
 def export_artifacts(work: Path) -> None:
     """Copy the event log + merged trace out for CI artifact upload."""
     destination = os.environ.get("REPRO_SMOKE_ARTIFACTS")
@@ -243,12 +299,14 @@ def main() -> int:
 
             check_observability(url, work, health)
             export_artifacts(work)
+            stop_and_check_no_orphans(daemon, health)
         finally:
-            daemon.terminate()
-            try:
-                daemon.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                daemon.kill()
+            if daemon.poll() is None:
+                daemon.terminate()
+                try:
+                    daemon.wait(timeout=10)
+                except subprocess.TimeoutExpired:
+                    daemon.kill()
     print("server_smoke: OK")
     return 0
 
